@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .poly import MultiPoly, aux_slot, divide_exact, var_index
+from .poly import MultiPoly, accumulate, aux_slot, divide_exact, var_index
 
 
 def d_tilde(f: MultiPoly, v: str) -> MultiPoly:
@@ -185,36 +185,28 @@ def eval_slots(g: MultiPoly, r: int, plus: int, v: str) -> MultiPoly:
     plus_idx = {var_index(aux_slot(j)) for j in range(1, plus + 1)}
     minus_idx = {var_index(aux_slot(j)) for j in range(plus + 1, r + 2)}
     vidx = var_index(v)
-    terms = {}
-    for mono, c in g.terms.items():
-        vexp = 0
-        parity = 0
-        rest = []
-        for i, e in mono:
-            if i in plus_idx:
-                vexp += e
-            elif i in minus_idx:
-                vexp += e
-                parity ^= e & 1
-            elif i == vidx:
-                vexp += e
-            else:
-                rest.append((i, e))
-        if vexp:
-            rest.append((vidx, vexp))
-            rest.sort()
-        new_mono = tuple(rest)
-        nc = -c if parity else c
-        prev = terms.get(new_mono)
-        if prev is None:
-            terms[new_mono] = nc
-        else:
-            s = prev + nc
-            if s:
-                terms[new_mono] = s
-            else:
-                del terms[new_mono]
-    return MultiPoly(terms)
+
+    def collapsed():
+        for mono, c in g.terms.items():
+            vexp = 0
+            parity = 0
+            rest = []
+            for i, e in mono:
+                if i in plus_idx:
+                    vexp += e
+                elif i in minus_idx:
+                    vexp += e
+                    parity ^= e & 1
+                elif i == vidx:
+                    vexp += e
+                else:
+                    rest.append((i, e))
+            if vexp:
+                rest.append((vidx, vexp))
+                rest.sort()
+            yield tuple(rest), (-c if parity else c)
+
+    return MultiPoly(accumulate({}, collapsed()))
 
 
 def a_nu(nu: Composition, f: MultiPoly, v: str,

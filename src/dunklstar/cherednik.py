@@ -18,28 +18,15 @@ import random
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .calculus import dunkl
-from .poly import MultiPoly
+from .poly import MultiPoly, accumulate
 from .rational import GaussianRational, MINUS_I
+from .star import CrossedElement, k_layers
 
 Key = Tuple[int, int, int]  # (x power, P power, reflection flag)
 Word = Tuple[str, ...]
 
 _MINUS_I_CONST = MultiPoly.const(MINUS_I)
 _MINUS_2IK = MultiPoly.var("k").scale(GaussianRational(0, -2))
-
-
-def _acc(terms: Dict[Key, MultiPoly], key: Key, val: MultiPoly) -> None:
-    if val.is_zero():
-        return
-    prev = terms.get(key)
-    if prev is None:
-        terms[key] = val
-    else:
-        s = prev + val
-        if s.is_zero():
-            del terms[key]
-        else:
-            terms[key] = s
 
 
 class NormalForm:
@@ -76,16 +63,11 @@ class NormalForm:
         return hash(frozenset((k, hash(v)) for k, v in self.terms.items()))
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
-        terms = dict(self.terms)
-        for key, val in other.terms.items():
-            _acc(terms, key, val)
-        return NormalForm(terms)
+        return NormalForm(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
-        terms = dict(self.terms)
-        for key, val in other.terms.items():
-            _acc(terms, key, -val)
-        return NormalForm(terms)
+        return NormalForm(accumulate(dict(self.terms),
+                                     ((key, -val) for key, val in other.terms.items())))
 
     def scale(self, c) -> "NormalForm":
         if isinstance(c, MultiPoly):
@@ -146,13 +128,13 @@ def reduce_word(word: Word, strategy: str = "leftmost",
     """
     if strategy == "leftmost" and rng is None:
         return _reduce_leftmost(word)
-    terms: Dict[Key, MultiPoly] = {}
+    done: List[Tuple[Key, MultiPoly]] = []
     work: List[Tuple[Word, MultiPoly]] = [(word, MultiPoly.const(1))]
     while work:
         w, c = work.pop()
         bad = _bad_positions(w)
         if not bad:
-            _acc(terms, _word_key(w), c)
+            done.append((_word_key(w), c))
             continue
         if strategy == "leftmost":
             i = bad[0]
@@ -164,7 +146,7 @@ def reduce_word(word: Word, strategy: str = "leftmost",
             raise ValueError(f"unknown strategy {strategy!r}")
         for nw, factor in _rewrite_at(w, i):
             work.append((nw, c * factor))
-    return NormalForm(terms)
+    return NormalForm(accumulate({}, done))
 
 
 _reduce_cache: Dict[Word, NormalForm] = {}
@@ -180,8 +162,8 @@ def _reduce_leftmost(word: Word) -> NormalForm:
     else:
         terms: Dict[Key, MultiPoly] = {}
         for nw, factor in _rewrite_at(word, bad[0]):
-            for key, val in _reduce_leftmost(nw).terms.items():
-                _acc(terms, key, val * factor)
+            accumulate(terms, ((key, val * factor)
+                               for key, val in _reduce_leftmost(nw).terms.items()))
         result = NormalForm(terms)
     _reduce_cache[word] = result
     return result
@@ -198,12 +180,11 @@ def multiply(L: NormalForm, R: NormalForm) -> NormalForm:
             coeff = c1 * c2
             if e1 and (a2 + b2) % 2:
                 coeff = -coeff
+            # a reflection left in the middle passes P^b2 with sign (-1)^b2
+            by_flag = (coeff, -coeff if b2 % 2 else coeff)
             middle = _reduce_leftmost(("P",) * b1 + ("X",) * a2)
-            for (am, bm, em), cm in middle.terms.items():
-                c = coeff * cm
-                if em and b2 % 2:
-                    c = -c
-                _acc(terms, (a1 + am, bm + b2, em ^ e1 ^ e2), c)
+            accumulate(terms, (((a1 + am, bm + b2, em ^ e1 ^ e2), by_flag[em] * cm)
+                               for (am, bm, em), cm in middle.terms.items()))
     return NormalForm(terms)
 
 
@@ -214,45 +195,29 @@ def from_symbol(plain, gamma: Optional[MultiPoly] = None) -> NormalForm:
     """Monomials x^a p^b k^c map to k^c X^a P^b; the reflection component
     (a crossed element's second part, or the optional second argument)
     carries the flag."""
-    from .poly import var_index
-
     if not isinstance(plain, MultiPoly):  # a crossed element
         if gamma is not None:
             raise ValueError("pass either a crossed element or two polynomials")
         plain, gamma = plain.plain, plain.gamma
-    xi, pi, ki = var_index("x"), var_index("p"), var_index("k")
     terms: Dict[Key, MultiPoly] = {}
     for e, f in ((0, plain), (1, gamma)):
         if f is None:
             continue
-        for mono, c in f.terms.items():
-            a = b = kc = 0
-            for i, ex in mono:
-                if i == xi:
-                    a = ex
-                elif i == pi:
-                    b = ex
-                elif i == ki:
-                    kc = ex
-                else:
-                    raise ValueError("symbols must be polynomials in x, p, k")
-            _acc(terms, (a, b, e), MultiPoly.monomial({"k": kc}, c))
+        if f.variables() - {"x", "p", "k"}:
+            raise ValueError("symbols must be polynomials in x, p, k")
+        for b, fb in f.by_degree("p").items():
+            for a, kpoly in fb.by_degree("x").items():
+                terms[(a, b, e)] = kpoly
     return NormalForm(terms)
 
 
-def to_symbol_layers(N: NormalForm):
+def to_symbol_layers(N: NormalForm) -> Dict[int, CrossedElement]:
     """Split by powers of k: layer l holds the plain/gamma symbol pair."""
-    from .star import CrossedElement
-
-    layers: Dict[int, List[MultiPoly]] = {}
+    parts: Tuple[Dict, Dict] = ({}, {})
     for (a, b, e), kpoly in N.terms.items():
         xp = MultiPoly.monomial({"x": a, "p": b})
-        for mono, c in kpoly.terms.items():
-            kc = mono[0][1] if mono else 0
-            pair = layers.setdefault(kc, [MultiPoly.zero(), MultiPoly.zero()])
-            pair[e] = pair[e] + xp.scale(c)
-    return {l: CrossedElement(pl, gm) for l, (pl, gm) in layers.items()
-            if not (pl.is_zero() and gm.is_zero())}
+        accumulate(parts[e], (xp * kpoly).terms.items())
+    return k_layers(CrossedElement(MultiPoly(parts[0]), MultiPoly(parts[1])))
 
 
 def apply(N: NormalForm, g: MultiPoly) -> MultiPoly:

@@ -20,6 +20,7 @@ from .expansion import verify_pair
 from .formatting import format_element
 from .jets import JetData, JetDataError, jet_match
 from .parser import ParseError, parse
+from .poly import MultiPoly
 from .randgen import random_crossed
 from .rational import GaussianRational
 from .star import c0, c1, star, weight
@@ -89,6 +90,8 @@ def cmd_cnu(args) -> int:
 
 
 def cmd_verify_assoc(args) -> int:
+    if args.trials < 0 or args.degree < 0:
+        raise UsageError("--trials and --degree must be nonnegative")
     rng = random.Random(args.seed)
     for trial in range(args.trials):
         A = random_crossed(rng, args.degree)
@@ -110,8 +113,6 @@ def cmd_verify_assoc(args) -> int:
 def cmd_verify_oracle(args) -> int:
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    from .poly import MultiPoly
-
     checked = 0
     for a in range(args.max_degree + 1):
         for b in range(args.max_degree + 1):
@@ -142,9 +143,11 @@ def _load_jets(path: str) -> JetData:
         for idx, i, j, (ren, red), (imn, imd) in data["values"]:
             values[(int(idx), int(i), int(j))] = GaussianRational(
                 Fraction(ren, red), Fraction(imn, imd))
-    except (KeyError, TypeError, ValueError) as exc:
+        return JetData(Fraction(x0n, x0d), Fraction(p0n, p0d), m, n, values)
+    except JetDataError as exc:
+        raise UsageError(str(exc))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed jets file: {exc}")
-    return JetData(Fraction(x0n, x0d), Fraction(p0n, p0d), m, n, values)
 
 
 def cmd_jet_match(args) -> int:

@@ -20,9 +20,9 @@ from typing import Dict, List, Tuple
 
 from .calculus import d_tilde
 from .cherednik import from_symbol, multiply, to_symbol_layers
-from .poly import MultiPoly, var_index
+from .poly import MultiPoly
 from .rational import MINUS_I
-from .star import CrossedElement, star
+from .star import CrossedElement, k_layers, star
 
 _MINUS_IK = MultiPoly.monomial({"k": 1}, MINUS_I)
 
@@ -31,25 +31,6 @@ def _check_symbol(f: MultiPoly, who: str) -> None:
     extra = f.variables() - {"x", "p"}
     if extra:
         raise ValueError(f"{who} must be a polynomial in x, p (found {sorted(extra)})")
-
-
-def k_layers(A: CrossedElement) -> Dict[int, CrossedElement]:
-    """Split a crossed element over {x, p, k} by powers of k."""
-    ki = var_index("k")
-    layers: Dict[int, List[MultiPoly]] = {}
-    for e, f in ((0, A.plain), (1, A.gamma)):
-        for mono, c in f.terms.items():
-            kc = 0
-            rest = []
-            for i, ex in mono:
-                if i == ki:
-                    kc = ex
-                else:
-                    rest.append((i, ex))
-            pair = layers.setdefault(kc, [MultiPoly.zero(), MultiPoly.zero()])
-            pair[e] = pair[e] + MultiPoly({tuple(rest): c})
-    return {l: CrossedElement(pl, gm) for l, (pl, gm) in layers.items()
-            if not (pl.is_zero() and gm.is_zero())}
 
 
 def specialize_parameters(A: CrossedElement) -> CrossedElement:
@@ -64,24 +45,11 @@ def expansion_product(a: MultiPoly, b: MultiPoly) -> Dict[int, CrossedElement]:
     """k-layers of the operator product computed by literal word expansion."""
     _check_symbol(a, "left symbol")
     _check_symbol(b, "right symbol")
-    a_by_p: Dict[int, MultiPoly] = {}
-    pi = var_index("p")
-    for mono, c in a.terms.items():
-        alpha = 0
-        rest = []
-        for i, ex in mono:
-            if i == pi:
-                alpha = ex
-            else:
-                rest.append((i, ex))
-        prev = a_by_p.setdefault(alpha, MultiPoly.zero())
-        a_by_p[alpha] = prev + MultiPoly({tuple(rest): c})
-
     b0 = b.rename("x", "y").rename("p", "p1")
     p1 = MultiPoly.var("p1")
     plain = MultiPoly.zero()
     gamma = MultiPoly.zero()
-    for alpha, a_alpha in sorted(a_by_p.items()):
+    for alpha, a_alpha in sorted(a.by_degree("p").items()):
         acc = [MultiPoly.zero(), MultiPoly.zero()]
 
         def walk(state: MultiPoly, flag: int, depth: int) -> None:

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .poly import MultiPoly, var_index
+from .poly import MultiPoly, var_index, var_name
 from .rational import GaussianRational
 from .star import CrossedElement
 
@@ -19,8 +19,6 @@ _FORMAT_VARS = ("x", "p", "h1", "h2")
 
 
 def _exponents(mono) -> Tuple[int, int, int, int]:
-    from .poly import var_name
-
     idx = {var_index(v): pos for pos, v in enumerate(_FORMAT_VARS)}
     out = [0, 0, 0, 0]
     for i, e in mono:

@@ -8,7 +8,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .rational import GaussianRational, Rat, ZERO, ONE
 
@@ -53,6 +53,28 @@ def aux_slot(j: int) -> str:
 
 class ExactDivisionError(ArithmeticError):
     """Raised by divide_exact when the quotient is not a polynomial."""
+
+
+def accumulate(terms: dict, items: Iterable[tuple]) -> dict:
+    """Add (key, value) pairs into ``terms`` in place and return it.
+
+    A key whose sum cancels is dropped and zero inputs are skipped, so
+    ``terms`` never holds a zero value.  Values need ``+`` and
+    ``__bool__``: coefficients and polynomials alike.
+    """
+    get = terms.get
+    for key, value in items:
+        prev = get(key)
+        if prev is None:
+            if value:
+                terms[key] = value
+        else:
+            s = prev + value
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms
 
 
 def _as_coeff(c: Union[Coeff, Rat]) -> Coeff:
@@ -145,18 +167,7 @@ class MultiPoly:
             return other
         if not other.terms:
             return self
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = terms.get(mono)
-            if prev is None:
-                terms[mono] = c
-            else:
-                s = prev + c
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
-        return MultiPoly(terms)
+        return MultiPoly(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly({mono: -c for mono, c in self.terms.items()})
@@ -178,21 +189,9 @@ class MultiPoly:
             ((m1, c1),) = self.terms.items()
             return MultiPoly({_mono_mul(m1, m2): c1 * c2
                               for m2, c2 in other.terms.items()})
-        terms: Dict[Mono, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                prev = terms.get(mono)
-                if prev is None:
-                    terms[mono] = c
-                else:
-                    s = prev + c
-                    if s:
-                        terms[mono] = s
-                    else:
-                        del terms[mono]
-        return MultiPoly(terms)
+        return MultiPoly(accumulate({}, ((_mono_mul(m1, m2), c1 * c2)
+                                         for m1, c1 in self.terms.items()
+                                         for m2, c2 in other.terms.items())))
 
     def scale(self, c: Union[Coeff, Rat]) -> "MultiPoly":
         c = _as_coeff(c)
@@ -215,26 +214,19 @@ class MultiPoly:
     # -- calculus-flavoured operations ----------------------------------------
 
     def differentiate(self, name: str) -> "MultiPoly":
-        """Formal partial derivative with respect to ``name``."""
+        """Formal partial derivative with respect to ``name``.
+
+        Lowering one exponent maps distinct monomials to distinct
+        monomials, so no two terms merge.
+        """
         idx = var_index(name)
         terms: Dict[Mono, Coeff] = {}
         for mono, c in self.terms.items():
             for pos, (i, e) in enumerate(mono):
                 if i == idx:
-                    if e == 1:
-                        new = mono[:pos] + mono[pos + 1:]
-                    else:
-                        new = mono[:pos] + ((i, e - 1),) + mono[pos + 1:]
-                    nc = GaussianRational(c.re * e, c.im * e)
-                    prev = terms.get(new)
-                    if prev is None:
-                        terms[new] = nc
-                    else:
-                        s = prev + nc
-                        if s:
-                            terms[new] = s
-                        else:
-                            del terms[new]
+                    lowered = ((i, e - 1),) if e > 1 else ()
+                    new = mono[:pos] + lowered + mono[pos + 1:]
+                    terms[new] = GaussianRational(c.re * e, c.im * e)
                     break
         return MultiPoly(terms)
 
@@ -259,93 +251,66 @@ class MultiPoly:
         if old == new:
             return self
         oidx, nidx = var_index(old), var_index(new)
-        terms: Dict[Mono, Coeff] = {}
-        for mono, c in self.terms.items():
-            e_old = 0
-            rest = []
-            for i, e in mono:
-                if i == oidx:
-                    e_old = e
-                else:
-                    rest.append((i, e))
-            if e_old:
-                merged = False
-                for pos, (i, e) in enumerate(rest):
-                    if i == nidx:
-                        rest[pos] = (i, e + e_old)
-                        merged = True
-                        break
-                if not merged:
-                    rest.append((nidx, e_old))
-                rest.sort()
-            new_mono = tuple(rest)
-            prev = terms.get(new_mono)
-            if prev is None:
-                terms[new_mono] = c
-            else:
-                s = prev + c
-                if s:
-                    terms[new_mono] = s
-                else:
-                    del terms[new_mono]
-        return MultiPoly(terms)
+
+        def renamed():
+            for mono, c in self.terms.items():
+                e_old = 0
+                rest = []
+                for i, e in mono:
+                    if i == oidx:
+                        e_old = e
+                    else:
+                        rest.append((i, e))
+                if e_old:
+                    merged = False
+                    for pos, (i, e) in enumerate(rest):
+                        if i == nidx:
+                            rest[pos] = (i, e + e_old)
+                            merged = True
+                            break
+                    if not merged:
+                        rest.append((nidx, e_old))
+                    rest.sort()
+                yield tuple(rest), c
+
+        return MultiPoly(accumulate({}, renamed()))
 
     def eval_at(self, values: Mapping[str, Union[Coeff, Rat]]) -> "MultiPoly":
         """Partially evaluate variables at exact numbers."""
         vals = {var_index(v): _as_coeff(c) for v, c in values.items()}
-        terms: Dict[Mono, Coeff] = {}
-        for mono, c in self.terms.items():
-            factor = c
-            rest = []
-            for i, e in mono:
-                v = vals.get(i)
-                if v is None:
-                    rest.append((i, e))
-                else:
-                    for _ in range(e):
-                        factor = factor * v
-                    if not factor:
-                        break
-            if not factor:
-                continue
-            new_mono = tuple(rest)
-            prev = terms.get(new_mono)
-            if prev is None:
-                terms[new_mono] = factor
-            else:
-                s = prev + factor
-                if s:
-                    terms[new_mono] = s
-                else:
-                    del terms[new_mono]
-        return MultiPoly(terms)
 
-    def substitute(self, name: str, value: "MultiPoly") -> "MultiPoly":
-        """Substitute a whole polynomial for one variable."""
+        def evaluated():
+            for mono, c in self.terms.items():
+                factor = c
+                rest = []
+                for i, e in mono:
+                    v = vals.get(i)
+                    if v is None:
+                        rest.append((i, e))
+                    else:
+                        for _ in range(e):
+                            factor = factor * v
+                yield tuple(rest), factor
+
+        return MultiPoly(accumulate({}, evaluated()))
+
+    def by_degree(self, name: str) -> Dict[int, "MultiPoly"]:
+        """Group the terms by the exponent of ``name``, with that variable
+        stripped from each monomial; the zero polynomial has no groups.
+
+        Stripping one variable keeps distinct monomials of the same
+        exponent distinct, so no two terms merge.
+        """
         idx = var_index(name)
-        out = _ZERO
-        powers: Dict[int, MultiPoly] = {0: MultiPoly.const(1)}
-
-        def power(e: int) -> MultiPoly:
-            got = powers.get(e)
-            if got is None:
-                got = power(e - 1) * value
-                powers[e] = got
-            return got
-
+        groups: Dict[int, Dict[Mono, Coeff]] = {}
         for mono, c in self.terms.items():
-            e_sub = 0
-            rest = []
-            for i, e in mono:
+            e, rest = 0, mono
+            for pos, (i, ex) in enumerate(mono):
                 if i == idx:
-                    e_sub = e
-                else:
-                    rest.append((i, e))
-            piece = MultiPoly({tuple(rest): c})
-            if e_sub:
-                piece = piece * power(e_sub)
-            out = out + piece
-        return out
+                    e, rest = ex, mono[:pos] + mono[pos + 1:]
+                    break
+            groups.setdefault(e, {})[rest] = c
+        return {e: MultiPoly(t) for e, t in groups.items()}
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -438,22 +403,7 @@ def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         q_mono = _mono_quot(m, lead)
         q_c = rem[m] / lead_c
         quot[q_mono] = q_c
-        for gm, gc in g.terms.items():
-            t = _mono_mul(q_mono, gm)
-            prev = rem.get(t)
-            s = (prev - q_c * gc) if prev is not None else -(q_c * gc)
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
+        minus_q = -q_c
+        accumulate(rem, ((_mono_mul(q_mono, gm), minus_q * gc)
+                         for gm, gc in g.terms.items()))
     return MultiPoly(quot)
-
-
-# Module-level spellings matching the operation vocabulary.
-
-def differentiate(f: MultiPoly, name: str) -> MultiPoly:
-    return f.differentiate(name)
-
-
-def reflect(f: MultiPoly, signs: Mapping[str, int]) -> MultiPoly:
-    return f.reflect(signs)

@@ -53,7 +53,7 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.re != 0 or self.im != 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -79,9 +79,6 @@ class GaussianRational:
         return GaussianRational(
             Fraction(a * c + b * d, 1) / n, Fraction(b * c - a * d, 1) / n
         )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def scale_int(self, n: int) -> "GaussianRational":
         return GaussianRational._fast(self.re * n, self.im * n)

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .calculus import (b_nu, delta_iter, enumerate_compositions, eval_slots,
                        stats, _series_coeff)
-from .poly import MultiPoly
+from .poly import MultiPoly, _mono_mul, accumulate, var_index
 from .rational import GaussianRational, minus_i_power
 
 
@@ -56,6 +56,14 @@ class CrossedElement:
     def twist(self) -> "CrossedElement":
         """Componentwise substitution (x, p) -> (-x, -p)."""
         return CrossedElement(gamma_twist(self.plain), gamma_twist(self.gamma))
+
+
+def k_layers(A: CrossedElement) -> Dict[int, CrossedElement]:
+    """Split a crossed element over {x, p, k} by powers of k."""
+    plain, gamma = A.plain.by_degree("k"), A.gamma.by_degree("k")
+    zero = MultiPoly.zero()
+    return {l: CrossedElement(plain.get(l, zero), gamma.get(l, zero))
+            for l in sorted(plain.keys() | gamma.keys())}
 
 
 def gamma_twist(f: MultiPoly) -> MultiPoly:
@@ -168,33 +176,12 @@ def _layer_weight(j: int, l: int, s: int, a: int) -> int:
 @lru_cache(maxsize=None)
 def _shift_mono(p_exp: int, x_exp: int, j: int, l: int):
     """Raw monomial key for p^p_exp x^x_exp h1^j h2^l."""
-    from .poly import var_index
-
     entries = [(var_index("x"), x_exp), (var_index("p"), p_exp),
                (var_index("h1"), j), (var_index("h2"), l)]
     return tuple(sorted((i, e) for i, e in entries if e))
 
 
-def _group_by_degree(f: MultiPoly, name: str) -> Dict[int, MultiPoly]:
-    from .poly import var_index
-
-    idx = var_index(name)
-    groups: Dict[int, Dict] = {}
-    for mono, c in f.terms.items():
-        e = 0
-        rest = []
-        for i, ex in mono:
-            if i == idx:
-                e = ex
-            else:
-                rest.append((i, ex))
-        groups.setdefault(e, {})[tuple(rest)] = c
-    return {e: MultiPoly(t) for e, t in groups.items()}
-
-
 def _split_p_parity(f: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
-    from .poly import var_index
-
     pidx = var_index("p")
     even: Dict = {}
     odd: Dict = {}
@@ -214,8 +201,8 @@ def star_pair(u: MultiPoly, v: MultiPoly,
     attached: returns (plain sum, gamma sum)."""
     if u.is_zero() or v.is_zero():
         return MultiPoly.zero(), MultiPoly.zero()
-    ud = _group_by_degree(u, "p")
-    va = _group_by_degree(v, "x")
+    ud = u.by_degree("p")
+    va = v.by_degree("x")
     va_parts = {a: _split_p_parity(g) for a, g in va.items()}
     jmax = min(max(ud), max(va))
     if max_j is not None:
@@ -230,8 +217,6 @@ def star_pair(u: MultiPoly, v: MultiPoly,
             got = (ud[d] * ve, ud[d] * vo)
             prod_cache[(d, a)] = got
         return got
-
-    from .poly import _mono_mul
 
     acc: Tuple[Dict, Dict] = ({}, {})
     for j in range(jmax + 1):
@@ -253,21 +238,9 @@ def star_pair(u: MultiPoly, v: MultiPoly,
                     cf = ij.scale_int(w)
                     pe, po = prods(d, a)
                     shift = _shift_mono(d - j, a - j, j, l)
-                    for part, sign in ((pe, False), (po, odd == 1)):
-                        for mono, c in part.terms.items():
-                            key = _mono_mul(mono, shift)
-                            add = c * cf
-                            if sign:
-                                add = -add
-                            prev = out.get(key)
-                            if prev is None:
-                                out[key] = add
-                            else:
-                                s = prev + add
-                                if s:
-                                    out[key] = s
-                                else:
-                                    del out[key]
+                    for part, pcf in ((pe, cf), (po, -cf if odd else cf)):
+                        accumulate(out, ((_mono_mul(mono, shift), c * pcf)
+                                         for mono, c in part.terms.items()))
     return MultiPoly(acc[0]), MultiPoly(acc[1])
 
 
@@ -353,8 +326,6 @@ def spherical(u: Union[SphericalElement, MultiPoly],
 
 def weight(f: MultiPoly) -> Union[int, str]:
     """Common circle-action weight deg_x - deg_p per monomial, or "mixed"."""
-    from .poly import var_index
-
     if f.is_zero():
         raise ValueError("weight of the zero polynomial is undefined")
     xi, pi = var_index("x"), var_index("p")

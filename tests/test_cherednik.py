@@ -7,7 +7,9 @@ from dunklstar.cherednik import (NormalForm, action_vanishes, apply,
                                  from_symbol, multiply, reduce_word,
                                  to_symbol_layers)
 from dunklstar.poly import MultiPoly
+from dunklstar.randgen import random_poly
 from dunklstar.rational import GaussianRational
+from dunklstar.star import CrossedElement, k_layers
 
 x = MultiPoly.var("x")
 p = MultiPoly.var("p")
@@ -139,6 +141,14 @@ def test_symbol_layer_round_trip(rng):
         else:
             assert set(layers) == {0}
             assert layers[0].plain == f and layers[0].gamma == g
+
+
+def test_symbol_layers_match_k_layers(rng):
+    for _ in range(20):
+        A = CrossedElement(random_poly(rng, 6, vars=("x", "p", "k")),
+                           random_poly(rng, 6, vars=("k", "x", "p")))
+        assert max(A.plain.degree("k"), A.gamma.degree("k")) > 1
+        assert to_symbol_layers(from_symbol(A)) == k_layers(A)
 
 
 def test_to_symbol_layers_of_product():

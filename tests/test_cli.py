@@ -188,6 +188,17 @@ def test_jet_match_flag_mismatch_is_usage_error(capsys, tmp_path):
     assert code == 1 and "disagrees" in err
 
 
+@pytest.mark.parametrize("field, value", [("point", [1, 0, 0, 1]),  # zero denominator
+                                          ("m", -1)])
+def test_jet_match_bad_file_is_usage_error(capsys, tmp_path, field, value):
+    path = _jets_file(tmp_path)
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["jet-match", "--jets", str(path)])
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
 # -- exit codes -----------------------------------------------------------------
 
 
@@ -195,6 +206,8 @@ def test_exit_code_usage(capsys):
     assert run_cli(capsys, ["star", "--a", "p"])[0] == 1
     assert run_cli(capsys, ["cnu", "--nu", "1,0,1", "--s", "0"])[0] == 1
     assert run_cli(capsys, ["nonsense"])[0] == 1
+    assert run_cli(capsys, ["verify-assoc", "--degree", "-1"])[0] == 1
+    assert run_cli(capsys, ["verify-assoc", "--trials", "-3"])[0] == 1
 
 
 def test_exit_code_parse(capsys):

@@ -32,8 +32,23 @@ def test_no_zero_terms_stored(rng):
     for _ in range(50):
         f = random_poly(rng, 4)
         g = random_poly(rng, 4)
-        for poly in (f + g, f - g, f * g):
+        for poly in (f + g, f - g, f * g, (f - g).rename("p", "x"),
+                     (f * g).eval_at({"x": 1})):
             assert all(not c.is_zero() for c in poly.terms.values())
+    k = MultiPoly.var("k")
+    assert (x - p).rename("p", "x").terms == {}
+    assert (k * x - x).eval_at({"k": 1}).terms == {}
+
+
+def test_by_degree_reconstruction(rng):
+    for _ in range(30):
+        f = random_poly(rng, 5, vars=("x", "p", "k"))
+        for name in ("x", "p", "k"):
+            groups = f.by_degree(name)
+            v = MultiPoly.var(name)
+            assert sum((g * v ** e for e, g in groups.items()), MultiPoly.zero()) == f
+            assert all(g and name not in g.variables() for g in groups.values())
+    assert MultiPoly.zero().by_degree("x") == {}
 
 
 @settings(max_examples=60, deadline=None)
