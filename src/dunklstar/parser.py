@@ -9,8 +9,10 @@ Grammar (LL(1), explicit multiplication only):
             | '(' expr ')'
 
 The gamma token may appear at most once multiplicatively per summand and
-never under '^'; violations raise the dedicated placement error.  Error
-positions are 1-based byte offsets.
+never under '^'; violations raise the dedicated placement error.  Each
+nesting level costs four stack frames, so parentheses may nest at most
+MAX_NESTING deep; a deeper '(' is a parse error.  Error positions are
+1-based byte offsets.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class GammaPlacementError(ParseError):
 
 
 _KEYWORDS = ("i", "x", "p", "h1", "h2", "gamma")
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open at the current position
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -156,9 +160,14 @@ class _Parser:
                 return CrossedElement(MultiPoly.zero(), MultiPoly.const(1))
             return CrossedElement.from_poly(MultiPoly.var(tok.text))
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(tok.offset, (f"at most {MAX_NESTING} nested parentheses",),
+                                 "'('")
             self.pos += 1
+            self.depth += 1
             value = self.expr()
             self.take(")", ("')'",))
+            self.depth -= 1
             return value
         raise ParseError(tok.offset, ("number", "variable", "'('"),
                          tok.text or "end of input")

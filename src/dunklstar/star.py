@@ -135,41 +135,57 @@ def c1(j: int, l: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # products weighted by a pure integer.  The integer tables are cached for
 # the lifetime of the process; agreement with the reference path above is
 # covered by tests.
+#
+# A composition of j - l into l + 1 blocks is a chain of j steps with the
+# l difference steps Dt as block boundaries.  Step t acts on x^(a - t): D
+# multiplies by a - t, and Dt needs a - t odd and multiplies by 2.  Two Dt
+# steps are therefore never adjacent, which is exactly the rule that
+# interior blocks are nonempty, so a transfer-matrix pass over the steps
+# (Stanley, Enumerative Combinatorics I, 4.7) sums the chain scalars of
+# all compositions at once.  The series coefficient only needs lambda0 of
+# the reversed tuple, the D steps in blocks whose index has the parity of
+# l, so the pass keeps the D steps in even-index blocks as its state.
 
 
-def _chain_scalar(entries: Tuple[int, ...], a: int) -> int:
-    """Action of the derivative/difference chain on x^a, as the scalar
-    multiplying x^(a - m - n); 0 when the chain kills the power."""
-    e = a
-    val = 1
-    first = True
-    for y in entries:
-        if not first:
-            if e % 2 == 0:
-                return 0
-            val *= 2
-            e -= 1
-        first = False
-        for _ in range(y):
-            if e == 0:
-                return 0
-            val *= e
-            e -= 1
-    return val
+def _chain_scalar(j: int, a: int) -> Dict[Tuple[int, int], int]:
+    """Chain scalars on x^a of every j-step chain, summed by state.
+
+    Maps (Dt steps l, D steps in even-index blocks) to the summed scalar
+    multiplying x^(a - j); a chain that kills the power adds nothing.
+    O(j^2) states over j steps.
+    """
+    states = {(0, 0): 1}
+    for t in range(j):
+        e = a - t
+        nxt: Dict[Tuple[int, int], int] = {}
+        for (l, even), val in states.items():
+            if e:
+                key = (l, even + 1 - l % 2)
+                nxt[key] = nxt.get(key, 0) + val * e
+            if e % 2:
+                key = (l + 1, even)
+                nxt[key] = nxt.get(key, 0) + val * 2
+        states = nxt
+    return states
+
+
+# one table per (j, a) serves every l and s; the builder itself stays a
+# plain function because perfbench/tracing.py finds it by name
+_chain_table = lru_cache(maxsize=None)(_chain_scalar)
 
 
 @lru_cache(maxsize=None)
 def _layer_weight(j: int, l: int, s: int, a: int) -> int:
     """Integer weight multiplying (u_d * v_a) p^s x^(a-j) in layer (j, l),
     summed over all composition tuples; s = d - j."""
+    table = _chain_table(j, a)
     total = 0
-    for nu in enumerate_compositions(j - l, l):
-        beta = _chain_scalar(nu.entries, a)
-        if beta == 0:
-            continue
-        st = stats(nu.reversed())
-        n = _series_coeff(st.lambda0 + st.n0 + 1, st.lambda1 + st.n1, s)
-        total += n * beta
+    for even in range(j - l + 1):
+        beta = table.get((l, even))
+        if beta:
+            lam0 = even if l % 2 == 0 else j - l - even
+            total += beta * _series_coeff(lam0 + l // 2 + 1,
+                                          j - l - lam0 + (l + 1) // 2, s)
     return total
 
 

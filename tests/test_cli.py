@@ -215,6 +215,11 @@ def test_exit_code_parse(capsys):
     assert code == 2 and "offset 3" in err
     code, _, err = run_cli(capsys, ["star", "--a", "gamma*gamma", "--b", "x"])
     assert code == 2
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, _, err = run_cli(capsys, ["star", "--a", deep, "--b", "x"])
+    assert code == 2 and "offset 101" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, ["star", "--a", "(" * 100 + "x" + ")" * 100, "--b", "x"])
+    assert code == 0 and out.strip() == "x^2"
 
 
 def test_exit_code_verification(capsys, monkeypatch):

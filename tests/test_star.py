@@ -1,14 +1,18 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dunklstar.calculus import b_nu, c_nu, enumerate_compositions
+from dunklstar.cherednik import from_symbol, multiply, to_symbol_layers
+from dunklstar.expansion import specialize_parameters
 from dunklstar.poly import MultiPoly
 from dunklstar.randgen import random_crossed, random_invariant_poly, random_poly
 from dunklstar.rational import GaussianRational, I
 from dunklstar.star import (CrossedElement, NonInvariantError,
                             SphericalElement, c0, c1, commutator,
-                            gamma_twist, is_gamma_invariant, moyal, spherical,
-                            star, star_pair, weight)
+                            gamma_twist, is_gamma_invariant, k_layers, moyal,
+                            spherical, star, star_pair, weight)
 
 x = MultiPoly.var("x")
 p = MultiPoly.var("p")
@@ -116,6 +120,26 @@ def test_fast_path_matches_layer_operators(rng):
         assert s0 == ref0 and s1 == ref1
 
 
+def test_layer_weights_match_composition_sum():
+    """Each transfer-matrix weight equals its sum over composition tuples:
+    c_nu of the reversed tuple times the chain scalar of the tuple on x^a."""
+    # the package binds the name star to the function, not the module
+    layer_weight = sys.modules["dunklstar.star"]._layer_weight
+    for j in range(13):
+        for a in range(j, j + 6):
+            for l in range(j + 1):
+                chains = []
+                for nu in enumerate_compositions(j - l, l):
+                    out = b_nu(nu, x ** a, "x")
+                    if not out.is_zero():
+                        (beta,) = out.terms.values()
+                        assert beta.im == 0
+                        chains.append((nu.reversed(), beta.re))
+                for s in range(5):
+                    want = sum(c_nu(rev, s) * beta for rev, beta in chains)
+                    assert layer_weight(j, l, s, a) == want, (j, l, s, a)
+
+
 # -- the star product ---------------------------------------------------------
 
 
@@ -190,6 +214,21 @@ def test_moyal_reduction(rng):
         st = star(a, b)
         assert drop_h2(st.gamma).is_zero()
         assert drop_h2(st.plain) == moyal(a, b)
+
+
+@pytest.mark.parametrize("a, b", [(p ** 40, x ** 40),
+                                  (x ** 3 * p ** 40, x ** 40 * p ** 2)])
+def test_moyal_reduction_high_degree(a, b):
+    st = star(a, b)
+    assert drop_h2(st.gamma).is_zero()
+    assert drop_h2(st.plain) == moyal(a, b)
+
+
+@pytest.mark.slow
+def test_star_matches_normal_form_at_degree_24():
+    A, B = x ** 2 * p ** 24, x ** 24 * p ** 3
+    got = k_layers(specialize_parameters(star(A, B)))
+    assert got == to_symbol_layers(multiply(from_symbol(A), from_symbol(B)))
 
 
 def test_commutator_canonical_pair():
