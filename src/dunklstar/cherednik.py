@@ -153,20 +153,38 @@ _reduce_cache: Dict[Word, NormalForm] = {}
 
 
 def _reduce_leftmost(word: Word) -> NormalForm:
+    """Memoised leftmost rewriting, depth-first with an explicit stack.
+
+    A stack entry holds a word and, once it has been expanded, its
+    rewrites; the entry is combined after every rewrite is in the cache.
+    Rewriting is terminating, so no word waits on itself.
+    """
     got = _reduce_cache.get(word)
     if got is not None:
         return got
-    bad = _bad_positions(word)
-    if not bad:
-        result = NormalForm.basis(*_word_key(word))
-    else:
+    stack: List[Tuple[Word, Optional[List[Tuple[Word, MultiPoly]]]]] = [(word, None)]
+    while stack:
+        w, rewrites = stack[-1]
+        if rewrites is None:
+            if w in _reduce_cache:  # reached twice through shared rewrites
+                stack.pop()
+                continue
+            bad = _bad_positions(w)
+            if not bad:
+                _reduce_cache[w] = NormalForm.basis(*_word_key(w))
+                stack.pop()
+                continue
+            rewrites = _rewrite_at(w, bad[0])
+            stack[-1] = (w, rewrites)
+            stack.extend((nw, None) for nw, _ in rewrites if nw not in _reduce_cache)
+            continue
         terms: Dict[Key, MultiPoly] = {}
-        for nw, factor in _rewrite_at(word, bad[0]):
+        for nw, factor in rewrites:
             accumulate(terms, ((key, val * factor)
-                               for key, val in _reduce_leftmost(nw).terms.items()))
-        result = NormalForm(terms)
-    _reduce_cache[word] = result
-    return result
+                               for key, val in _reduce_cache[nw].terms.items()))
+        _reduce_cache[w] = NormalForm(terms)
+        stack.pop()
+    return _reduce_cache[word]
 
 
 # -- product ------------------------------------------------------------------

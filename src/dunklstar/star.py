@@ -25,8 +25,10 @@ from typing import Dict, Optional, Tuple, Union
 
 from .calculus import (b_nu, delta_iter, enumerate_compositions, eval_slots,
                        stats, _series_coeff)
-from .poly import MultiPoly, _mono_mul, accumulate, var_index
+from .poly import Mono, MultiPoly, var_index
 from .rational import GaussianRational, minus_i_power
+
+_X, _P, _H1, _H2 = (var_index(v) for v in ("x", "p", "h1", "h2"))
 
 
 @dataclass(frozen=True)
@@ -189,75 +191,184 @@ def _layer_weight(j: int, l: int, s: int, a: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _shift_mono(p_exp: int, x_exp: int, j: int, l: int):
-    """Raw monomial key for p^p_exp x^x_exp h1^j h2^l."""
-    entries = [(var_index("x"), x_exp), (var_index("p"), p_exp),
-               (var_index("h1"), j), (var_index("h2"), l)]
-    return tuple(sorted((i, e) for i, e in entries if e))
+# -- packed exact kernel used by star ----------------------------------------
+#
+# Within one product a monomial is a single int: the exponent of variable i
+# sits in the bit field at width * i.  Every output exponent is at most
+# tdeg(u) + tdeg(v), and the width is chosen to hold that, so no field
+# spills into the next: multiplying two monomials is one integer add, and
+# the layer shift p^-j x^-j h1^j h2^l is one constant per (j, l).
+# Coefficients are (re, im) int pairs over one common denominator, so the
+# inner loop does integer arithmetic only.  The product P_{d,a} = u_d * v_a
+# of a p-degree group of u and an x-degree group of v is built once, with
+# three twins: times -i for odd j, and with the p -> -p reflection of v for
+# odd l.  Since d is fixed within P_{d,a}, the p-parity of v's factor is
+# that of the product key minus d.
 
 
-def _split_p_parity(f: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
-    pidx = var_index("p")
-    even: Dict = {}
-    odd: Dict = {}
-    for mono, c in f.terms.items():
-        e = 0
-        for i, ex in mono:
-            if i == pidx:
-                e = ex
-                break
-        (odd if e % 2 else even)[mono] = c
-    return MultiPoly(even), MultiPoly(odd)
+def _tdeg(f: MultiPoly) -> int:
+    return max((sum(e for _, e in mono) for mono in f.terms), default=0)
 
 
-def star_pair(u: MultiPoly, v: MultiPoly,
-              max_j: Optional[int] = None) -> Tuple[MultiPoly, MultiPoly]:
-    """All layers of the product of two plain symbols, with h1/h2 powers
-    attached: returns (plain sum, gamma sum)."""
-    if u.is_zero() or v.is_zero():
-        return MultiPoly.zero(), MultiPoly.zero()
-    ud = u.by_degree("p")
-    va = v.by_degree("x")
-    va_parts = {a: _split_p_parity(g) for a, g in va.items()}
-    jmax = min(max(ud), max(va))
-    if max_j is not None:
-        jmax = min(jmax, max_j)
+def _scaled(v, den: int) -> int:
+    """The rational v times den, as an int; den is a multiple of its denominator."""
+    return v * den if type(v) is int else v.numerator * (den // v.denominator)
 
-    prod_cache: Dict[Tuple[int, int], Tuple[MultiPoly, MultiPoly]] = {}
 
-    def prods(d: int, a: int) -> Tuple[MultiPoly, MultiPoly]:
-        got = prod_cache.get((d, a))
-        if got is None:
-            ve, vo = va_parts[a]
-            got = (ud[d] * ve, ud[d] * vo)
-            prod_cache[(d, a)] = got
-        return got
+class _Kernel:
+    """Key packing and the shared plain/gamma sums of one product.
 
-    acc: Tuple[Dict, Dict] = ({}, {})
-    for j in range(jmax + 1):
-        ij = minus_i_power(j)
-        for l in range(j + 1):
-            if j - l < l - 1:
-                break  # composition sets stay empty for larger l
-            odd = l % 2
-            out = acc[odd]
-            for d in ud:
-                if d < j:
+    Left factors are scaled by the least common denominator of their
+    coefficients and right factors by theirs; ``sums[0]`` (plain) and
+    ``sums[1]`` (gamma) map a packed key to its [re, im] pair over the
+    product of the two denominators.
+    """
+
+    def __init__(self, left: Tuple[MultiPoly, ...], right: Tuple[MultiPoly, ...]):
+        dens = []
+        for side in (left, right):
+            den = 1
+            for f in side:
+                for c in f.terms.values():
+                    if type(c.re) is not int:
+                        den = math.lcm(den, c.re.denominator)
+                    if type(c.im) is not int:
+                        den = math.lcm(den, c.im.denominator)
+            dens.append(den)
+        self.dens = tuple(dens)
+        reach = max(map(_tdeg, left)) + max(map(_tdeg, right))
+        self.width = max(reach.bit_length(), 1)
+        self.sums: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
+
+    def unit(self, idx: int) -> int:
+        """Packed key of the single variable with index idx."""
+        return 1 << (self.width * idx)
+
+    def group(self, f: MultiPoly, side: int, idx: int) -> Dict[int, list]:
+        """Packed (key, re, im) terms of f grouped by the exponent of idx."""
+        width, den = self.width, self.dens[side]
+        shift, mask = width * idx, (1 << width) - 1
+        groups: Dict[int, list] = {}
+        for mono, c in f.terms.items():
+            key = 0
+            for i, e in mono:
+                key += e << (width * i)
+            groups.setdefault((key >> shift) & mask, []).append(
+                (key, _scaled(c.re, den), _scaled(c.im, den)))
+        return groups
+
+    def unpack(self, key: int, first: int = 0) -> Mono:
+        """Monomial of a packed key whose lowest field is variable first."""
+        width, mask = self.width, (1 << self.width) - 1
+        mono = []
+        i = first
+        while key:
+            e = key & mask
+            if e:
+                mono.append((i, e))
+            key >>= width
+            i += 1
+        return tuple(mono)
+
+    def polys(self) -> Tuple[MultiPoly, MultiPoly]:
+        """The sums as (plain, gamma) polynomials in normal form."""
+        # keys share few distinct low parts (the x and p fields) and few
+        # distinct upper parts, so each part is unpacked once
+        cut = 2 * self.width
+        low_mask = (1 << cut) - 1
+        lows: Dict[int, Mono] = {}
+        highs: Dict[int, Mono] = {}
+        den = self.dens[0] * self.dens[1]
+        out = []
+        for acc in self.sums:
+            terms: Dict = {}
+            for key, (re, im) in acc.items():
+                if not (re or im):
                     continue
-                for a in va:
-                    if a < j:
-                        continue
+                lo, hi = key & low_mask, key >> cut
+                lo_mono = lows.get(lo)
+                if lo_mono is None:
+                    lo_mono = lows[lo] = self.unpack(lo)
+                hi_mono = highs.get(hi)
+                if hi_mono is None:
+                    hi_mono = highs[hi] = self.unpack(hi, 2)
+                if den == 1:
+                    terms[lo_mono + hi_mono] = GaussianRational._fast(re, im)
+                else:
+                    terms[lo_mono + hi_mono] = GaussianRational(Fraction(re, den),
+                                                                Fraction(im, den))
+            out.append(MultiPoly(terms))
+        return out[0], out[1]
+
+
+def star_pair(u: MultiPoly, v: MultiPoly, max_j: Optional[int] = None, *,
+              into: Optional[Tuple[_Kernel, int]] = None
+              ) -> Optional[Tuple[MultiPoly, MultiPoly]]:
+    """All layers of the product of two plain symbols, with h1/h2 powers
+    attached: returns (plain sum, gamma sum).
+
+    With ``into=(kernel, swap)`` the layers are added to the kernel's
+    shared sums instead, even l to ``sums[swap]`` and odd l to the other,
+    and nothing is returned; star uses this for its four pairings.
+    """
+    kernel, swap = (_Kernel((u,), (v,)), 0) if into is None else into
+    if u and v:
+        _add_layers(kernel, swap, u, v, max_j)
+    return kernel.polys() if into is None else None
+
+
+def _add_layers(kernel: _Kernel, swap: int, u: MultiPoly, v: MultiPoly,
+                max_j: Optional[int]) -> None:
+    ud = kernel.group(u, 0, _P)
+    va = kernel.group(v, 1, _X)
+    pshift = kernel.width * _P
+    # the packed shift of layer (j, l) is j * down + l * h2
+    down = kernel.unit(_H1) - kernel.unit(_P) - kernel.unit(_X)
+    h2 = kernel.unit(_H2)
+    sums = kernel.sums
+    for d, uterms in ud.items():
+        for a, vterms in va.items():
+            jmax = min(d, a) if max_j is None else min(d, a, max_j)
+            merged: Dict[int, list] = {}
+            for ku, ur, ui in uterms:
+                for kv, vr, vi in vterms:
+                    key = ku + kv
+                    re, im = ur * vr - ui * vi, ur * vi + ui * vr
+                    c = merged.get(key)
+                    if c is None:
+                        merged[key] = [re, im]
+                    else:
+                        c[0] += re
+                        c[1] += im
+            plain = [(key, re, im) for key, (re, im) in merged.items() if re or im]
+            if jmax:
+                refl = [(key, -re, -im) if ((key >> pshift) ^ d) & 1 else (key, re, im)
+                        for key, re, im in plain]
+                # indexed by 2 * (l odd) + (j odd); the odd-j twins carry -i
+                twins = (plain, [(key, im, -re) for key, re, im in plain],
+                         refl, [(key, im, -re) for key, re, im in refl])
+            else:
+                twins = (plain,)
+            for j in range(jmax + 1):
+                sign = -1 if j & 2 else 1  # (-i)^j = sign * (-i)^(j % 2)
+                for l in range(j + 1):
+                    if j - l < l - 1:
+                        break  # composition sets stay empty for larger l
                     w = _layer_weight(j, l, d - j, a)
-                    if w == 0:
+                    if not w:
                         continue
-                    cf = ij.scale_int(w)
-                    pe, po = prods(d, a)
-                    shift = _shift_mono(d - j, a - j, j, l)
-                    for part, pcf in ((pe, cf), (po, -cf if odd else cf)):
-                        accumulate(out, ((_mono_mul(mono, shift), c * pcf)
-                                         for mono, c in part.terms.items()))
-    return MultiPoly(acc[0]), MultiPoly(acc[1])
+                    w *= sign
+                    shift = j * down + l * h2
+                    out = sums[(l & 1) ^ swap]
+                    get = out.get
+                    for key, re, im in twins[2 * (l & 1) + (j & 1)]:
+                        key += shift
+                        c = get(key)
+                        if c is None:
+                            out[key] = [w * re, w * im]
+                        else:
+                            c[0] += w * re
+                            c[1] += w * im
 
 
 def star(A: Union[CrossedElement, MultiPoly], B: Union[CrossedElement, MultiPoly],
@@ -267,29 +378,25 @@ def star(A: Union[CrossedElement, MultiPoly], B: Union[CrossedElement, MultiPoly
     On gamma components the plain-pair layers are rerouted so that the
     symbol map intertwines operator composition with the reflection:
     u*(v g) swaps the layer targets, (u g)*v additionally twists v, and
-    (u g)*(v g) only twists v.
+    (u g)*(v g) only twists v.  All four pairings add into one kernel,
+    which is converted back to polynomials once.
     """
     if isinstance(A, MultiPoly):
         A = CrossedElement.from_poly(A)
     if isinstance(B, MultiPoly):
         B = CrossedElement.from_poly(B)
-    plain = MultiPoly.zero()
-    gamma = MultiPoly.zero()
-    if not A.plain.is_zero():
-        if not B.plain.is_zero():
-            s0, s1 = star_pair(A.plain, B.plain, max_j)
-            plain, gamma = plain + s0, gamma + s1
-        if not B.gamma.is_zero():
-            t0, t1 = star_pair(A.plain, B.gamma, max_j)
-            plain, gamma = plain + t1, gamma + t0
-    if not A.gamma.is_zero():
-        if not B.plain.is_zero():
-            r0, r1 = star_pair(A.gamma, gamma_twist(B.plain), max_j)
-            plain, gamma = plain + r1, gamma + r0
-        if not B.gamma.is_zero():
-            q0, q1 = star_pair(A.gamma, gamma_twist(B.gamma), max_j)
-            plain, gamma = plain + q0, gamma + q1
-    return CrossedElement(plain, gamma)
+    kernel = _Kernel((A.plain, A.gamma), (B.plain, B.gamma))
+    if A.plain:
+        if B.plain:
+            star_pair(A.plain, B.plain, max_j, into=(kernel, 0))
+        if B.gamma:
+            star_pair(A.plain, B.gamma, max_j, into=(kernel, 1))
+    if A.gamma:
+        if B.plain:
+            star_pair(A.gamma, gamma_twist(B.plain), max_j, into=(kernel, 1))
+        if B.gamma:
+            star_pair(A.gamma, gamma_twist(B.gamma), max_j, into=(kernel, 0))
+    return CrossedElement(*kernel.polys())
 
 
 def commutator(A: Union[CrossedElement, MultiPoly],

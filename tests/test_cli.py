@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dunklstar.cli import main
 from dunklstar.formatting import format_element
@@ -72,6 +73,19 @@ def test_parse_format_round_trip_seeded():
         elem = random_crossed(rng, 3)
         text = format_element(elem)
         assert parse(text) == elem, text
+
+
+_parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_exponents = st.fixed_dictionaries({v: st.integers(0, 4) for v in ("x", "p", "h1", "h2")})
+_polys = st.lists(st.tuples(_exponents, st.builds(GaussianRational, _parts, _parts)),
+                  max_size=6).map(lambda terms: sum(
+                      (MultiPoly.monomial(e, c) for e, c in terms), MultiPoly.zero()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(CrossedElement, _polys, _polys))
+def test_parse_format_round_trip_property(elem):
+    assert parse(format_element(elem)) == elem
 
 
 def test_round_trip_with_rational_and_complex_coefficients():
@@ -241,3 +255,102 @@ def test_exit_code_verification(capsys, monkeypatch):
                                     "--degree", "2", "--seed", "3"])
     assert code == 3
     assert "FAILED" in out and "seed 3" in out
+
+
+def _jets_variant(tmp_path, name, edit):
+    """A copy of the valid jets file with ``edit`` applied to its data."""
+    data = json.loads(_jets_file(tmp_path).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _text_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _verify_mismatch(tmp_path, monkeypatch):
+    """verify-assoc with the third star product corrupted."""
+    import dunklstar.cli as cli_mod
+
+    real_star = cli_mod.star
+    calls = []
+
+    def broken_star(A, B, max_j=None):
+        calls.append(1)
+        out = real_star(A, B, max_j)
+        if len(calls) == 3:
+            return CrossedElement(out.plain + MultiPoly.const(1), out.gamma)
+        return out
+
+    monkeypatch.setattr(cli_mod, "star", broken_star)
+    return ["verify-assoc", "--trials", "5", "--degree", "2", "--seed", "3"]
+
+
+# each case: (argv, or a function of tmp_path and monkeypatch that sets up
+# and returns argv; expected exit code)
+ERROR_PATHS = {
+    "no-command": ([], 1),
+    "unknown-command": (["nonsense"], 1),
+    "missing-flag": (["star", "--a", "p"], 1),
+    "unknown-flag": (["star", "--a", "p", "--b", "x", "--bogus", "1"], 1),
+    "bad-format": (["star", "--a", "p", "--b", "x", "--format", "yaml"], 1),
+    "non-integer-flag": (["cterm", "--j", "one", "--l", "0", "--family", "0",
+                          "--a", "p", "--b", "x"], 1),
+    "bad-family": (["cterm", "--j", "1", "--l", "0", "--family", "2",
+                    "--a", "p", "--b", "x"], 1),
+    "negative-degree": (["verify-assoc", "--degree", "-1"], 1),
+    "negative-trials": (["verify-assoc", "--trials", "-3"], 1),
+    "negative-max-degree": (["verify-oracle", "--max-degree", "-1"], 1),
+    "negative-j": (["cterm", "--j", "-1", "--l", "0", "--family", "0",
+                    "--a", "p", "--b", "x"], 1),
+    "negative-n": (["compositions", "--m", "1", "--n", "-1"], 1),
+    "negative-s": (["cnu", "--nu", "1", "--s", "-1"], 1),
+    "bad-tuple": (["cnu", "--nu", "1,a", "--s", "0"], 1),
+    "bad-composition": (["cnu", "--nu", "1,0,1", "--s", "0"], 1),
+    "gamma-in-cterm": (["cterm", "--j", "0", "--l", "0", "--family", "0",
+                        "--a", "gamma", "--b", "x"], 1),
+    "h1-in-cterm": (["cterm", "--j", "0", "--l", "0", "--family", "0",
+                     "--a", "h1", "--b", "x"], 1),
+    "gamma-in-weights": (["weights", "--expr", "x*gamma"], 1),
+    "zero-weights": (["weights", "--expr", "0"], 1),
+    "parse-dangling-power": (["star", "--a", "p^", "--b", "x"], 2),
+    "parse-double-gamma": (["star", "--a", "gamma*gamma", "--b", "x"], 2),
+    "parse-zero-denominator": (["star", "--a", "2/0", "--b", "x"], 2),
+    "parse-unknown-name": (["star", "--a", "x", "--b", "q"], 2),
+    "parse-unbalanced": (["weights", "--expr", "(x+p"], 2),
+    "parse-in-cterm": (["cterm", "--j", "0", "--l", "0", "--family", "0",
+                        "--a", "x^", "--b", "x"], 2),
+    "nesting-101": (["star", "--a", "(" * 101 + "x" + ")" * 101, "--b", "x"], 2),
+    "jets-absent": (lambda tmp, mp: ["jet-match", "--jets", str(tmp / "absent.json")], 1),
+    "jets-not-json": (lambda tmp, mp: ["jet-match", "--jets",
+                                       _text_file(tmp, "bad.json", "{not json")], 1),
+    "jets-missing-key": (lambda tmp, mp: ["jet-match", "--jets", _jets_variant(
+        tmp, "nokey.json", lambda d: d.pop("values"))], 1),
+    "jets-zero-denominator": (lambda tmp, mp: ["jet-match", "--jets", _jets_variant(
+        tmp, "zero.json", lambda d: d.update(point=[1, 0, 0, 1]))], 1),
+    "jets-negative-order": (lambda tmp, mp: ["jet-match", "--jets", _jets_variant(
+        tmp, "neg.json", lambda d: d.update(m=-1))], 1),
+    "jets-bad-row": (lambda tmp, mp: ["jet-match", "--jets", _jets_variant(
+        tmp, "row.json", lambda d: d["values"].append([0, 0]))], 1),
+    "jets-point-mismatch": (lambda tmp, mp: ["jet-match", "--point", "2,0", "--jets",
+                                             str(_jets_file(tmp))], 1),
+    "jets-bad-point": (lambda tmp, mp: ["jet-match", "--point", "a,b", "--jets",
+                                        str(_jets_file(tmp))], 1),
+    "verify-mismatch": (_verify_mismatch, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_every_error_path_exits_cleanly(capsys, tmp_path, monkeypatch, case):
+    argv, want = ERROR_PATHS[case]
+    if callable(argv):
+        argv = argv(tmp_path, monkeypatch)
+    code, out, err = run_cli(capsys, argv)
+    assert code == want
+    assert "Traceback" not in out and "Traceback" not in err
+    if want < 3:
+        assert err.startswith("error: ")

@@ -231,6 +231,48 @@ def test_star_matches_normal_form_at_degree_24():
     assert got == to_symbol_layers(multiply(from_symbol(A), from_symbol(B)))
 
 
+@pytest.mark.slow
+def test_star_matches_normal_form_at_degree_32():
+    # the leftmost rewriting of P^32 X^32 chains about 32 * 32 rewrites,
+    # deeper than the default recursion limit
+    A, B = x ** 2 * p ** 32, x ** 32 * p ** 3
+    got = k_layers(specialize_parameters(star(A, B)))
+    assert got == to_symbol_layers(multiply(from_symbol(A), from_symbol(B)))
+
+
+# -- kernel edge cases ----------------------------------------------------------
+
+
+def test_central_scalar_beyond_any_fixed_width(rng):
+    """h1 is central, so a huge power of it factors out of the product."""
+    scalar = h1 ** (2 ** 70)
+    for _ in range(4):
+        A = random_crossed(rng, 4)
+        B = random_crossed(rng, 4)
+        lifted = CrossedElement(A.plain * scalar, A.gamma * scalar)
+        want = star(A, B)
+        assert star(lifted, B) == CrossedElement(want.plain * scalar, want.gamma * scalar)
+
+
+def test_moyal_reduction_beyond_any_fixed_width():
+    a, b = x ** (2 ** 70) * p ** 2, x ** 3
+    st = star(a, b)
+    assert drop_h2(st.gamma).is_zero()
+    assert drop_h2(st.plain) == moyal(a, b)
+    assert st.plain.degree("x") == 2 ** 70 + 3
+
+
+def test_fraction_inputs_give_normal_form_coefficients():
+    got = star((p ** 2).scale(Fraction(1, 2)), (x ** 2).scale(2))
+    assert got == star(p ** 2, x ** 2)
+    parts = [part for f in (got.plain, got.gamma) for c in f.terms.values()
+             for part in (c.re, c.im)]
+    assert parts and all(type(part) is int for part in parts)
+    thirds = star(p.scale(Fraction(1, 3)), x.scale(Fraction(2, 3)))
+    assert thirds == CrossedElement(star(p, x).plain.scale(Fraction(2, 9)),
+                                    star(p, x).gamma.scale(Fraction(2, 9)))
+
+
 def test_commutator_canonical_pair():
     got = commutator(p, x)
     assert got.plain == -h1.scale(I)
