@@ -16,14 +16,26 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import MultiPoly, accumulate, aux_slot, divide_exact, var_index
+from .rational import GaussianRational
 
 
 def d_tilde(f: MultiPoly, v: str) -> MultiPoly:
-    """Difference quotient (f - f(-v))/v; exact on polynomials."""
-    num = f - f.reflect({v: -1})
-    if num.is_zero():
-        return MultiPoly.zero()
-    return divide_exact(num, MultiPoly.var(v))
+    """Difference quotient (f - f(-v))/v; exact on polynomials.
+
+    In closed form v^e -> 2 v^(e-1) for odd e and 0 for even e; lowering
+    one exponent keeps distinct monomials distinct, so no two terms merge.
+    """
+    idx = var_index(v)
+    terms = {}
+    for mono, c in f.terms.items():
+        for pos, (i, e) in enumerate(mono):
+            if i == idx:
+                if e & 1:
+                    lowered = ((i, e - 1),) if e > 1 else ()
+                    new = mono[:pos] + lowered + mono[pos + 1:]
+                    terms[new] = GaussianRational(c.re * 2, c.im * 2)
+                break
+    return MultiPoly(terms)
 
 
 def dunkl(f: MultiPoly, v: str) -> MultiPoly:

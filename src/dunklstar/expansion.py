@@ -1,4 +1,4 @@
-"""Brute-force operator-expansion oracle and the three-way checker.
+"""Operator-expansion oracle and the three-way checker.
 
 The product of two operators with polynomial symbols a, b expands as
 
@@ -6,11 +6,15 @@ The product of two operators with polynomial symbols a, b expands as
                [p1 + A + B]^alpha b(y, p1) |_{y=x}
 
 with A = -i d_y and B = -i k (p1 -> -p1) dtilde_y (reflection flag).
-This module expands every one of the 3^alpha operator words literally,
-tracks the sign bookkeeping through the state itself (the p1 -> -p1
-substitution inside B reproduces the anticommutation with p1), and
-collects the result into k-layers.  It shares no code path with either
-the closed-form layers or the normal-form product, which is the point.
+This module applies the operator power to b one letter at a time, over
+both reflection parities at once: after n letters it holds, for an even
+and for an odd number of B letters, the sum of every word of length n
+applied to b.  One pass up to the largest alpha thus still counts all
+3^alpha words of each power.  The sign bookkeeping lives in the state
+itself (the p1 -> -p1 substitution inside B reproduces the
+anticommutation with p1), and the result is collected into k-layers.  It
+shares no code path with either the closed-form layers or the
+normal-form product, which is the point.
 """
 
 from __future__ import annotations
@@ -42,30 +46,24 @@ def specialize_parameters(A: CrossedElement) -> CrossedElement:
 
 
 def expansion_product(a: MultiPoly, b: MultiPoly) -> Dict[int, CrossedElement]:
-    """k-layers of the operator product computed by literal word expansion."""
+    """k-layers of the operator product computed by word expansion."""
     _check_symbol(a, "left symbol")
     _check_symbol(b, "right symbol")
-    b0 = b.rename("x", "y").rename("p", "p1")
+    by_alpha = a.by_degree("p")
     p1 = MultiPoly.var("p1")
-    plain = MultiPoly.zero()
-    gamma = MultiPoly.zero()
-    for alpha, a_alpha in sorted(a.by_degree("p").items()):
-        acc = [MultiPoly.zero(), MultiPoly.zero()]
-
-        def walk(state: MultiPoly, flag: int, depth: int) -> None:
-            if state.is_zero():
-                return
-            if depth == alpha:
-                acc[flag] = acc[flag] + state
-                return
-            walk(p1 * state, flag, depth + 1)
-            walk(state.differentiate("y").scale(MINUS_I), flag, depth + 1)
-            walk(d_tilde(state, "y").reflect({"p1": -1}) * _MINUS_IK,
-                 flag ^ 1, depth + 1)
-
-        walk(b0, 0, 0)
-        plain = plain + a_alpha * acc[0]
-        gamma = gamma + a_alpha * acc[1]
+    plain = gamma = MultiPoly.zero()
+    # s[f]: the sum, over every word of length n whose number of B letters
+    # has parity f, of that word applied to the right factor
+    s = [b.rename("x", "y").rename("p", "p1"), MultiPoly.zero()]
+    for n in range(max(by_alpha, default=-1) + 1):
+        if n:
+            b_of = [d_tilde(t, "y").reflect({"p1": -1}) * _MINUS_IK for t in s]
+            s = [p1 * t + t.differentiate("y").scale(MINUS_I) + b_of[f ^ 1]
+                 for f, t in enumerate(s)]
+        a_n = by_alpha.get(n)
+        if a_n is not None:
+            plain = plain + a_n * s[0]
+            gamma = gamma + a_n * s[1]
 
     plain = plain.rename("y", "x").rename("p1", "p")
     gamma = gamma.rename("y", "x").rename("p1", "p")

@@ -288,8 +288,12 @@ class MultiPoly:
                     if v is None:
                         rest.append((i, e))
                     else:
-                        for _ in range(e):
-                            factor = factor * v
+                        while e:  # factor * v**e by repeated squaring
+                            if e & 1:
+                                factor = factor * v
+                            e >>= 1
+                            if e:
+                                v = v * v
                 yield tuple(rest), factor
 
         return MultiPoly(accumulate({}, evaluated()))

@@ -7,7 +7,9 @@ from dunklstar.calculus import (Composition, CompositionStats, a_nu, b_nu,
                                 c_nu, c_nu_word_count, d_tilde, delta,
                                 delta_iter, delta_n, dunkl,
                                 enumerate_compositions, stats)
-from dunklstar.poly import MultiPoly
+from dunklstar.poly import MultiPoly, divide_exact
+from dunklstar.randgen import random_poly
+from dunklstar.rational import GaussianRational
 
 from conftest import random_single_var
 
@@ -30,6 +32,32 @@ def test_d_tilde_output_is_even(rng):
         f = random_single_var(rng)
         g = d_tilde(f, "x")
         assert g.reflect({"x": -1}) == g
+
+
+def test_d_tilde_matches_definition(rng):
+    # (f - f(-v))/v by exact division, against the closed form
+    # v^e -> 2 v^(e-1) (e odd), 0 (e even)
+    def by_definition(f, v):
+        num = f - f.reflect({v: -1})
+        return divide_exact(num, MultiPoly.var(v)) if num else MultiPoly.zero()
+
+    y = MultiPoly.var("y")
+    fixed = [MultiPoly.zero(), MultiPoly.const(3), x ** 4 * p - k,
+             (x ** 5 * y ** 2).scale(Fraction(1, 2)) + x.scale(Fraction(-3, 4)),
+             (x * k ** 3).scale(GaussianRational(Fraction(2, 3), Fraction(-1, 6)))]
+    randoms = []
+    for _ in range(40):
+        f = random_poly(rng, 7, vars=("x", "p", "k", "y"))
+        c = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+        randoms += [f, f.scale(c) + random_poly(rng, 5, vars=("x", "p", "k", "y"))]
+    for f in fixed + randoms:
+        for v in ("x", "p", "k", "y", "h1"):  # h1 never occurs: result 0
+            got, want = d_tilde(f, v), by_definition(f, v)
+            assert got == want, (f, v)
+            # same normalized coefficient parts (int when integral)
+            assert ({m: (type(c.re), type(c.im)) for m, c in got.terms.items()}
+                    == {m: (type(c.re), type(c.im)) for m, c in want.terms.items()})
 
 
 def test_dunkl_examples():

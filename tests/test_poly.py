@@ -40,6 +40,17 @@ def test_no_zero_terms_stored(rng):
     assert (k * x - x).eval_at({"k": 1}).terms == {}
 
 
+@pytest.mark.parametrize("value, even, odd", [(0, 0, 0), (1, 1, 1), (-1, 1, -1),
+                                              (I, 1, I)])
+def test_eval_at_huge_exponent(value, even, odd):
+    # h2^(2^70) at 0, 1, -1 or i is cheap by repeated squaring; one
+    # multiplication per unit of exponent never finishes
+    h2 = MultiPoly.var("h2")
+    N = 2 ** 70
+    assert (h2 ** N + x).eval_at({"h2": value}) == x + MultiPoly.const(even)
+    assert (h2 ** (N + 1) * p + x).eval_at({"h2": value}) == x + p.scale(odd)
+
+
 def test_by_degree_reconstruction(rng):
     for _ in range(30):
         f = random_poly(rng, 5, vars=("x", "p", "k"))
